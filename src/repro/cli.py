@@ -78,6 +78,7 @@ from .kg.datasets import PROFILES, load_dataset
 from .kg.io import load_kg, save_kg
 from .kg.stats import describe_kg
 from .runtime import ParallelExecutor, RunContext
+from .runtime.settings import add_runtime_options, context_from_args
 from .sampling.srs import SimpleRandomSampling
 from .sampling.stratified import StratifiedPredicateSampling
 from .sampling.twcs import TwoStageWeightedClusterSampling
@@ -423,88 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     """The runtime-layer knobs shared by the parallel subcommands."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: $REPRO_WORKERS or serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-store directory for caching / resume "
-        "(default: $REPRO_CACHE_DIR or no cache)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="within-cell sharding granularity: split each cell's work "
-        "units into chunks of at most this many and fan the chunks out "
-        "over the workers, merging bit-identically "
-        "(default: $REPRO_CHUNK_SIZE or no sharding)",
-    )
-    parser.add_argument(
-        "--chunk-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="adaptive sharding: target this many wall-clock seconds "
-        "per chunk, calibrated from a timed pilot shard; mutually "
-        "exclusive with --chunk-size "
-        "(default: $REPRO_CHUNK_SECONDS or off)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="execution backend: serial, process, spool[:dir] "
-        "(a spool-directory work queue served by 'python -m repro "
-        "worker' processes), or chaos[:inner] for fault injection "
-        "(default: $REPRO_BACKEND or automatic)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="resubmissions allowed per failed unit of work, on a "
-        "deterministic backoff schedule "
-        "(default: $REPRO_MAX_RETRIES or 0, fail fast)",
-    )
-    parser.add_argument(
-        "--on-error",
-        default=None,
-        choices=("raise", "continue"),
-        help="after retries run out: 'raise' aborts the run, "
-        "'continue' quarantines the failed cell and keeps going "
-        "(default: $REPRO_ON_ERROR or raise)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="append structured lifecycle events (JSONL) to this journal; "
-        "digest it later with 'python -m repro trace summarize' "
-        "(default: $REPRO_TRACE_FILE or off)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("auto", "numpy", "native"),
-        help="interval solver kernel: the numpy reference, the "
-        "JIT-compiled native kernel, or auto (native when numba is "
-        "available, loud fallback otherwise); results are identical "
-        "either way (default: $REPRO_KERNEL or numpy)",
-    )
-    parser.add_argument(
-        "--solve-table",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve integer-count interval solves with n <= N from a "
-        "precomputed table persisted beside the result store; 0 "
-        "disables (default: $REPRO_SOLVE_TABLE or 2048)",
-    )
+    add_runtime_options(parser)
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"
     )
@@ -512,19 +432,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
 
 def _context_from(args: argparse.Namespace, progress: bool = True) -> RunContext:
     """Resolve the :class:`RunContext` a parallel subcommand asked for."""
-    return RunContext(
-        workers=args.workers,
-        store=args.cache_dir,
-        progress=progress and not args.quiet,
-        chunk_size=args.chunk_size,
-        chunk_seconds=args.chunk_seconds,
-        backend=args.backend,
-        max_retries=args.max_retries,
-        on_error=args.on_error,
-        trace=args.trace,
-        kernel=args.kernel,
-        solve_table=args.solve_table,
-    )
+    return context_from_args(args, progress=progress and not args.quiet)
 
 
 def _executor_from(args: argparse.Namespace) -> ParallelExecutor:

@@ -17,7 +17,8 @@ import argparse
 import sys
 import time
 
-from ..runtime import RunContext, configure
+from ..runtime import configure
+from ..runtime.settings import add_runtime_options, context_from_args
 from . import EXPERIMENTS, ExperimentSettings
 
 
@@ -45,92 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="also write each regenerated table as CSV under DIR",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for grid-shaped experiments "
-        "(default: $REPRO_WORKERS or serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="result-store directory: completed cells are cached there, "
-        "re-runs and interrupted grids resume from it "
-        "(default: $REPRO_CACHE_DIR or no cache)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="REPS",
-        help="repetition-sharding granularity: cells with more "
-        "repetitions split into chunks of at most this many, executed "
-        "in parallel and merged bit-identically "
-        "(default: $REPRO_CHUNK_SIZE or no sharding)",
-    )
-    parser.add_argument(
-        "--chunk-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="adaptive sharding: target this many wall-clock seconds "
-        "per chunk, calibrated from a timed pilot shard; mutually "
-        "exclusive with --chunk-size "
-        "(default: $REPRO_CHUNK_SECONDS or off)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help="execution backend for grid-shaped experiments: serial, "
-        "process, spool[:dir] (a spool-directory work queue served "
-        "by 'python -m repro worker' processes), or chaos[:inner] "
-        "for fault injection (default: $REPRO_BACKEND or automatic)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="resubmissions allowed per failed unit of work "
-        "(default: $REPRO_MAX_RETRIES or 0, fail fast)",
-    )
-    parser.add_argument(
-        "--on-error",
-        default=None,
-        choices=("raise", "continue"),
-        help="after retries run out: 'raise' aborts, 'continue' "
-        "quarantines the failed cell and keeps going "
-        "(default: $REPRO_ON_ERROR or raise)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="append structured lifecycle events (JSONL) of every "
-        "runtime-routed experiment to this journal; digest with "
-        "'python -m repro trace summarize' "
-        "(default: $REPRO_TRACE_FILE or off)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("auto", "numpy", "native"),
-        help="interval solver kernel (numpy reference, JIT-compiled "
-        "native, or auto with loud fallback); never changes results "
-        "(default: $REPRO_KERNEL or numpy)",
-    )
-    parser.add_argument(
-        "--solve-table",
-        type=int,
-        default=None,
-        metavar="N",
-        help="precompute/memoise interval tables for integer-count "
-        "solves with n <= N; 0 disables "
-        "(default: $REPRO_SOLVE_TABLE or 2048)",
-    )
+    add_runtime_options(parser)
     parser.add_argument(
         "--progress",
         action="store_true",
@@ -151,21 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     # values fall back to the REPRO_* environment) into one immutable
     # RunContext, installed as the session default for every execute()
     # call the experiments make.
-    configure(
-        context=RunContext(
-            workers=args.workers,
-            store=args.cache_dir,
-            progress=args.progress,
-            chunk_size=args.chunk_size,
-            chunk_seconds=args.chunk_seconds,
-            backend=args.backend,
-            max_retries=args.max_retries,
-            on_error=args.on_error,
-            trace=args.trace,
-            kernel=args.kernel,
-            solve_table=args.solve_table,
-        )
-    )
+    configure(context=context_from_args(args, progress=args.progress))
     requested = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     unknown = [name for name in requested if name not in EXPERIMENTS]
     if unknown:

@@ -65,9 +65,7 @@ __all__ = [
 #: Acceptable posterior-mass error for a solved HPD interval — shared
 #: with the scalar solver in hpd.py (single source of truth; the
 #: batch/scalar equivalence depends on the two validations agreeing).
-#: The iteration cap lives with the kernels now
-#: (:data:`repro.intervals.kernels.NEWTON_MAX_ITER`), imported by the
-#: scalar solver in hpd.py directly.
+#: The iteration cap is :data:`repro.intervals.kernels.NEWTON_MAX_ITER`.
 _MASS_TOL = 1e-6
 #: Display prior attached to posteriors rebuilt for the scalar fallback.
 _FALLBACK_PRIOR = BetaPrior(1.0, 1.0, name="batch-fallback")
@@ -440,13 +438,10 @@ def _newton_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton HPD solve over interior-mode posterior rows.
 
-    The iteration itself is pluggable: the ambient
-    :class:`~repro.intervals.kernels.SolverKernel` (NumPy oracle or the
-    JIT-compiled native kernel, selected by ``REPRO_KERNEL`` /
-    ``RunContext.kernel``) produces ``(lower, upper, failed)`` for the
-    interior rows; the posterior-mass validation and the per-row
-    scalar fallback below stay *here*, shared by every kernel, so a
-    kernel only ever has to reproduce the happy path.  The kernels run
+    :meth:`~repro.intervals.kernels.NumpyKernel.newton_interior`
+    iterates the interior rows to ``(lower, upper, failed)``; the
+    posterior-mass validation and the per-row scalar fallback below
+    re-solve every row it flags or leaves off-target.  The loop runs
     on the raw (validation-free) beta primitives:
     ``hpd_bounds_batch`` validated the shapes already, and
     re-validating four times per iteration was the dominant cost of

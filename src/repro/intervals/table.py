@@ -11,9 +11,9 @@ indexing, which turns the dominant per-rep root-find into a gather.
 Because the table rows *are* ``compute_batch`` outputs — built by the
 very method instance being served, stored at full float64 — a served
 batch is bit-identical to a freshly solved one.  Tables therefore sit
-on the same side of the determinism line as the solve pool and the
-kernels: they change wall-clock, never numbers, and never participate
-in cache identity.
+on the same side of the determinism line as the solve pool: they
+change wall-clock, never numbers, and never participate in cache
+identity.
 
 Serving is strict full-hit-or-``None``: a batch is served only when
 *every* evidence row is table-eligible (an exact integer-count SRS
@@ -399,8 +399,8 @@ def default_table() -> SolveTable | None:
     base.run_task` falls back to this — ``REPRO_SOLVE_TABLE`` for the
     cap, ``REPRO_CACHE_DIR`` for sidecar persistence.
     """
-    # Deferred: settings is a runtime-layer import leaf, same pattern
-    # as kernels.active_kernel — keeps the intervals layer cycle-free.
+    # Deferred: settings is a runtime-layer import leaf; importing it
+    # lazily keeps the intervals layer cycle-free.
     from ..runtime.settings import resolve_cache_dir, resolve_solve_table
 
     cap = resolve_solve_table(None)

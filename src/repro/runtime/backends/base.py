@@ -92,9 +92,6 @@ def run_task(task: Task, settings: "ExperimentSettings") -> tuple[Any, float]:
     ``REPRO_CACHE_DIR``) is installed for the task — the worker-side
     mirror of the executor's run-scoped install.  Tables are pure
     memoisation, so this changes worker wall-clock, never results.
-    The solver kernel needs no counterpart here:
-    :func:`repro.intervals.kernels.active_kernel` already falls back to
-    the environment when no kernel is installed.
     """
     if active_solve_table() is None:
         table = default_table()

@@ -82,7 +82,6 @@ from typing import TYPE_CHECKING, Any, Callable, Union
 
 from ..exceptions import ValidationError
 from ..intervals.base import use_solve_pool, use_solve_table
-from ..intervals.kernels import auto_fallback_info, use_kernel
 from ..intervals.table import SolveTable, shared_table
 from .backends import (
     ExecutionBackend,
@@ -230,15 +229,6 @@ class ParallelExecutor:
         coalesce this run's interval solves with other concurrent runs'.
         ``None`` (the default) solves directly.  Pure scheduling: pooled
         solves are bit-identical to direct ones.
-    kernel:
-        Interval solver kernel for this run's in-process solves:
-        ``"numpy"`` (the reference implementation), ``"native"`` (the
-        JIT-compiled kernel; raises when the optional ``numba``
-        dependency is unavailable), or ``"auto"`` (native when
-        available, otherwise a *loud* fallback to numpy — one
-        ``RuntimeWarning`` plus a ``kernel_fallback`` journal event).
-        ``None`` reads ``REPRO_KERNEL`` (default ``"numpy"``).  Kernels
-        agree bit-for-bit or to 1e-12 and never enter cache identity.
     solve_table:
         Small-n solve-table cap: integer-count solves with ``n`` at or
         below this are served from a precomputed, memory-mapped
@@ -261,7 +251,6 @@ class ParallelExecutor:
         retry_policy: RetryPolicy | None = None,
         trace: Union[str, Path, None] = None,
         solve_pool: Any = None,
-        kernel: str | None = None,
         solve_table: int | None = None,
     ):
         self._bind(
@@ -277,7 +266,6 @@ class ParallelExecutor:
                 retry_policy=retry_policy,
                 trace=trace,
                 solve_pool=solve_pool,
-                kernel=kernel,
                 solve_table=solve_table,
             )
         )
@@ -314,7 +302,6 @@ class ParallelExecutor:
         )
         self.trace = context.trace
         self.solve_pool = context.solve_pool
-        self.kernel = context.kernel
         self.solve_table = context.solve_table
 
     def _backend_for(self, pending: int) -> ExecutionBackend:
@@ -453,14 +440,11 @@ class ParallelExecutor:
                     self.solve_pool.channel(telemetry)
                 )
                 pool_stack.enter_context(use_solve_pool(channel))
-            # The run's solver kernel and solve table install alongside
-            # the pool: ambient for everything this scheduler thread
-            # executes in-process.  Out-of-process units resolve both
-            # from the environment in their workers (see
-            # backends.base.run_task / kernels.active_kernel) — always
+            # The run's solve table installs alongside the pool: ambient
+            # for everything this scheduler thread executes in-process.
+            # Out-of-process units resolve it from the environment in
+            # their workers (see backends.base.run_task) — always
             # bit-identical, so placement still never changes numbers.
-            kernel_fallback = auto_fallback_info(self.kernel)
-            pool_stack.enter_context(use_kernel(self.kernel))
             if self.solve_table and self.solve_table > 0:
                 root = self.store.root if self.store is not None else None
                 table = shared_table(root, self.solve_table)
@@ -478,8 +462,6 @@ class ParallelExecutor:
                 workers=self.workers,
                 schema=TRACE_SCHEMA_VERSION,
             )
-            if kernel_fallback is not None:
-                telemetry.emit("kernel_fallback", **kernel_fallback)
             default_chunk = self.chunk_size
             calibration = None
             pilot = None
@@ -696,7 +678,7 @@ _overrides: dict[str, Any] = {
     "max_retries": None,
     "on_error": None,
     "trace": None,
-    "kernel": None,
+    "solve_pool": None,
     "solve_table": None,
 }
 
@@ -711,7 +693,6 @@ def configure(
     max_retries=_UNSET,
     on_error=_UNSET,
     trace=_UNSET,
-    kernel=_UNSET,
     solve_table=_UNSET,
     context: RunContext | None = None,
 ) -> None:
@@ -731,14 +712,15 @@ def configure(
 
     Passing ``context=`` adopts every setting of an already-resolved
     :class:`~repro.runtime.settings.RunContext` as the module defaults
-    in one call (mutually exclusive with the individual keywords).
+    in one call (mutually exclusive with the individual keywords),
+    including its ``solve_pool``, which has no keyword of its own.
     """
     if context is not None:
         if any(
             value is not _UNSET
             for value in (
                 workers, cache_dir, progress, chunk_size, chunk_seconds,
-                backend, max_retries, on_error, trace, kernel, solve_table,
+                backend, max_retries, on_error, trace, solve_table,
             )
         ):
             raise ValidationError(
@@ -755,7 +737,7 @@ def configure(
             max_retries=None,
             on_error=context.on_error,
             trace=context.trace,
-            kernel=context.kernel,
+            solve_pool=context.solve_pool,
             solve_table=context.solve_table,
         )
         _overrides["retry_policy"] = context.retry_policy
@@ -779,8 +761,6 @@ def configure(
         _overrides["on_error"] = on_error
     if trace is not _UNSET:
         _overrides["trace"] = trace
-    if kernel is not _UNSET:
-        _overrides["kernel"] = kernel
     if solve_table is not _UNSET:
         _overrides["solve_table"] = solve_table
 
@@ -815,7 +795,7 @@ def default_context() -> RunContext:
         on_error=_overrides["on_error"],
         retry_policy=_overrides.get("retry_policy"),
         trace=_overrides["trace"],
-        kernel=_overrides["kernel"],
+        solve_pool=_overrides["solve_pool"],
         solve_table=_overrides["solve_table"],
     )
 

@@ -42,7 +42,6 @@ from ..settings import (
     resolve_solve_batch_max,
     resolve_solve_batch_window,
 )
-from ...intervals.kernels import kernel_status
 from ...intervals.table import peek_tables
 from ..solvebatch import SolveBroker
 from ..store import ResultStore
@@ -56,7 +55,7 @@ __all__ = ["AuditService", "CONTEXT_OVERRIDE_KEYS"]
 #: by the service (one journal per request under ``--trace-dir``).
 CONTEXT_OVERRIDE_KEYS = frozenset(
     {"workers", "backend", "chunk_size", "chunk_seconds",
-     "max_retries", "on_error", "kernel", "solve_table"}
+     "max_retries", "on_error", "solve_table"}
 )
 
 #: Queue sentinel: the request's executor thread is done.
@@ -335,7 +334,6 @@ class AuditService:
                 else self.solve_broker.describe()
             ),
             "solve_table": peek_tables(),
-            "kernel": kernel_status(),
         }
 
     @staticmethod

@@ -26,6 +26,7 @@ module-default :class:`RunContext` at call time.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import os
 from dataclasses import InitVar, dataclass
@@ -36,7 +37,10 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "KNOBS",
+    "RUNTIME_OPTIONS",
     "RunContext",
+    "add_runtime_options",
+    "context_from_args",
     "env_knob",
     "resolve_backend",
     "resolve_cache_dir",
@@ -44,7 +48,6 @@ __all__ = [
     "resolve_chaos_seed",
     "resolve_chunk_seconds",
     "resolve_chunk_size",
-    "resolve_kernel",
     "resolve_max_retries",
     "resolve_on_error",
     "resolve_progress",
@@ -160,12 +163,6 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
         "max coalesced callers per cross-request solve batch flush "
         "(int >= 1; default 64)",
     ),
-    "REPRO_KERNEL": (
-        _parse_text("REPRO_KERNEL"),
-        "interval solver kernel: numpy | native | auto "
-        "(default numpy; auto degrades loudly to numpy without numba; "
-        "never part of cache identity)",
-    ),
     "REPRO_SOLVE_TABLE": (
         _parse_int("REPRO_SOLVE_TABLE"),
         "small-n solve-table cap: precompute/memoise interval tables "
@@ -174,6 +171,87 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
     ),
 }
 
+
+#: The runtime flags both command-line front ends (``python -m repro``
+#: and ``python -m repro.experiments``) accept, as
+#: ``(flag, RunContext field, add_argument options)``.  Every flag
+#: defaults to ``None``, which falls back to its ``REPRO_*`` knob.
+RUNTIME_OPTIONS: tuple[tuple[str, str, dict[str, Any]], ...] = (
+    ("--workers", "workers", dict(
+        type=int,
+        help="worker processes (default: $REPRO_WORKERS or serial)",
+    )),
+    ("--cache-dir", "store", dict(
+        metavar="DIR",
+        help="result-store directory: completed cells are cached there, "
+        "re-runs and interrupted grids resume from it "
+        "(default: $REPRO_CACHE_DIR or no cache)",
+    )),
+    ("--chunk-size", "chunk_size", dict(
+        type=int,
+        metavar="REPS",
+        help="within-cell sharding granularity: split each cell's "
+        "repetitions into chunks of at most this many, executed in "
+        "parallel and merged bit-identically "
+        "(default: $REPRO_CHUNK_SIZE or no sharding)",
+    )),
+    ("--chunk-seconds", "chunk_seconds", dict(
+        type=float,
+        metavar="SECONDS",
+        help="adaptive sharding: target this many wall-clock seconds "
+        "per chunk, calibrated from a timed pilot shard; mutually "
+        "exclusive with --chunk-size "
+        "(default: $REPRO_CHUNK_SECONDS or off)",
+    )),
+    ("--backend", "backend", dict(
+        metavar="SPEC",
+        help="execution backend: serial, process, spool[:dir] "
+        "(a spool-directory work queue served by 'python -m repro "
+        "worker' processes), or chaos[:inner] for fault injection "
+        "(default: $REPRO_BACKEND or automatic)",
+    )),
+    ("--max-retries", "max_retries", dict(
+        type=int,
+        metavar="N",
+        help="resubmissions allowed per failed unit of work, on a "
+        "deterministic backoff schedule "
+        "(default: $REPRO_MAX_RETRIES or 0, fail fast)",
+    )),
+    ("--on-error", "on_error", dict(
+        choices=("raise", "continue"),
+        help="after retries run out: 'raise' aborts the run, "
+        "'continue' quarantines the failed cell and keeps going "
+        "(default: $REPRO_ON_ERROR or raise)",
+    )),
+    ("--trace", "trace", dict(
+        metavar="FILE",
+        help="append structured lifecycle events (JSONL) to this journal; "
+        "digest it later with 'python -m repro trace summarize' "
+        "(default: $REPRO_TRACE_FILE or off)",
+    )),
+    ("--solve-table", "solve_table", dict(
+        type=int,
+        metavar="N",
+        help="serve integer-count interval solves with n <= N from a "
+        "precomputed table persisted beside the result store; 0 "
+        "disables (default: $REPRO_SOLVE_TABLE or 2048)",
+    )),
+)
+
+
+def add_runtime_options(parser: argparse.ArgumentParser) -> None:
+    """Declare every :data:`RUNTIME_OPTIONS` flag on *parser*."""
+    for flag, _, options in RUNTIME_OPTIONS:
+        parser.add_argument(flag, default=None, **options)
+
+
+def context_from_args(args: argparse.Namespace, progress: Any = None) -> RunContext:
+    """The :class:`RunContext` the parsed :data:`RUNTIME_OPTIONS` ask for."""
+    fields = {
+        field: getattr(args, flag[2:].replace("-", "_"))
+        for flag, field, _ in RUNTIME_OPTIONS
+    }
+    return RunContext(progress=progress, **fields)
 
 def env_knob(name: str) -> Any | None:
     """The parsed value of registered knob *name*, or ``None`` if unset.
@@ -385,28 +463,6 @@ def resolve_solve_batch_max(max_batch: int | None) -> int:
     return max_batch
 
 
-def resolve_kernel(kernel: str | None) -> str:
-    """Explicit choice, or the ``REPRO_KERNEL`` default (``"numpy"``).
-
-    Returns a validated kernel *name* (``numpy`` | ``native`` |
-    ``auto``) — instances are resolved later, at solve time, by
-    :func:`repro.intervals.kernels.get_kernel`, so contexts stay
-    picklable/JSON-describable and ``auto`` can degrade per process.
-    The default is the NumPy oracle, not ``auto``: installing numba
-    must never silently change which kernel a run uses.
-    """
-    if kernel is None:
-        kernel = env_knob("REPRO_KERNEL")
-        if kernel is None:
-            return "numpy"
-    kernel = str(kernel).strip().lower()
-    if kernel not in ("auto", "numpy", "native"):
-        raise ValidationError(
-            f"kernel must be one of auto, numpy, native; got {kernel!r}"
-        )
-    return kernel
-
-
 def resolve_solve_table(cap: int | None) -> int:
     """Explicit cap, or the ``REPRO_SOLVE_TABLE`` default (2048).
 
@@ -506,10 +562,6 @@ class RunContext:
       shared infrastructure rather than per-run configuration, so it
       has no environment fallback and is threaded in explicitly (the
       audit service passes its process-wide broker here)
-    * ``kernel`` — solver-kernel choice ``"numpy"`` | ``"native"`` |
-      ``"auto"`` (``REPRO_KERNEL``; default ``"numpy"``); resolved to
-      an implementation at run time and **never** part of cache
-      identity — results are pinned kernel-independent
     * ``solve_table`` — small-n solve-table cap (``REPRO_SOLVE_TABLE``;
       default 2048, ``0`` disables); pure memoisation, also outside
       cache identity
@@ -528,7 +580,6 @@ class RunContext:
     retry_policy: Any = None
     trace: Any = None
     solve_pool: Any = None
-    kernel: Any = None
     solve_table: Any = None
     max_retries: InitVar[Any] = None
 
@@ -581,7 +632,6 @@ class RunContext:
         set_field("store", resolve_store(self.store))
         set_field("progress", resolve_progress(self.progress))
         set_field("trace", resolve_trace_file(self.trace))
-        set_field("kernel", resolve_kernel(self.kernel))
         set_field("solve_table", resolve_solve_table(self.solve_table))
         if self.solve_pool is not None and not callable(
             getattr(self.solve_pool, "channel", None)
@@ -629,6 +679,5 @@ class RunContext:
             else getattr(
                 self.solve_pool, "name", type(self.solve_pool).__name__
             ),
-            "kernel": self.kernel,
             "solve_table": self.solve_table,
         }

@@ -90,7 +90,6 @@ EVENT_TYPES = frozenset(
         "chaos_inject",  # the chaos backend faulted a unit
         "solve_batch_flush",  # cross-request interval-solve batch flushed
         "solve_table",  # run's small-n solve-table usage (hits/builds)
-        "kernel_fallback",  # requested solver kernel degraded (auto→numpy)
         "run_finish",  # run over; status ok/aborted, wall seconds
     }
 )
@@ -331,7 +330,6 @@ class MetricsAggregate:
         self.table_build_seconds = 0.0
         self.table_rows_served = 0
         self.table_cap: int | None = None
-        self.kernel_fallbacks: list[dict] = []
         self.execute_seconds = 0.0
         self.queue_wait_seconds = 0.0
         self.wall_seconds = 0.0
@@ -391,8 +389,6 @@ class MetricsAggregate:
             self.table_rows_served += int(fields.get("rows_served", 0))
             if fields.get("cap") is not None:
                 self.table_cap = int(fields["cap"])
-        elif event.event == "kernel_fallback":
-            self.kernel_fallbacks.append(dict(fields))
         elif event.event == "cell_finished":
             if not fields.get("cached", False):
                 self.cache_misses += 1
@@ -493,9 +489,6 @@ class MetricsAggregate:
                 "builds": self.table_builds,
                 "build_seconds": round(self.table_build_seconds, 6),
                 "rows_served": self.table_rows_served,
-            },
-            "kernel": {
-                "fallbacks": list(self.kernel_fallbacks),
             },
             "by_kind": {
                 kind: {
@@ -682,12 +675,6 @@ def render_summary(summary: dict, fmt: str = "text") -> str:
             f"  tables built       : {table['builds']}"
             f"  ({table['build_seconds']:.3f}s)",
         ]
-    kernel = aggregate.get("kernel", {})
-    for fallback in kernel.get("fallbacks", []):
-        lines.append(
-            f"kernel fallback: {fallback.get('requested')} -> "
-            f"{fallback.get('resolved')} ({fallback.get('reason')})"
-        )
     if aggregate["by_kind"]:
         lines += ["", "per cell kind (units, execute s, queue-wait s)"]
         for kind, totals in aggregate["by_kind"].items():

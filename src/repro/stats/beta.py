@@ -204,7 +204,7 @@ def beta_ppf_batch(q, a, b) -> np.ndarray:
     if np.any((q_arr < 0.0) | (q_arr > 1.0)):
         raise ValidationError(f"quantile levels must be in [0, 1], got {q!r}")
     # Route through the raw primitive so validated and raw callers run
-    # the *same* arithmetic — the invariant the kernel registry pins.
+    # the *same* arithmetic, so batch and scalar solves agree.
     return _beta_ppf_raw(q_arr, a, b)
 
 

@@ -27,8 +27,10 @@ from repro.intervals import (
     WaldInterval,
     WilsonInterval,
 )
-from repro.intervals.batch import et_bounds_batch, hpd_bounds_batch
+from repro.intervals import kernels
+from repro.intervals.batch import _MASS_TOL, et_bounds_batch, hpd_bounds_batch
 from repro.intervals.hpd import hpd_bounds
+from repro.intervals.kernels import NumpyKernel
 from repro.intervals.posterior import BetaPosterior
 from repro.intervals.priors import JEFFREYS, KERMAN, UNIFORM
 from repro.stats.beta import beta_cdf_batch, beta_pdf_batch, beta_ppf_batch
@@ -404,3 +406,37 @@ def test_use_solve_pool_is_per_context():
     for thread in threads:
         thread.join()
     assert seen == {"a": "a", "b": "b"}
+
+
+# A mix of interior shapes: symmetric-ish, mode near each boundary,
+# large n, and fractional (TWCS-style effective) counts.
+FALLBACK_A = np.array([3.5, 1.0 + 1e-9, 1.0005, 1e5 + 0.5, 9.0e4 + 1.0, 1 / 3 + 17.4, 5.25])
+FALLBACK_B = np.array([2.5, 40.0, 2.0, 2.0e3 + 0.5, 1.0e4 + 1.0, 1 / 3 + 3.6, 1.0 + 1e-7])
+
+
+def assert_scalar_fallback_rows(alpha):
+    lower, upper = hpd_bounds_batch(FALLBACK_A, FALLBACK_B, alpha)
+    for i, (a, b) in enumerate(zip(FALLBACK_A, FALLBACK_B)):
+        post = BetaPosterior(a=float(a), b=float(b), prior=JEFFREYS)
+        assert (lower[i], upper[i]) == hpd_bounds(post, alpha, solver="scalar")
+    mass = beta_cdf_batch(upper, FALLBACK_A, FALLBACK_B) - beta_cdf_batch(
+        lower, FALLBACK_A, FALLBACK_B
+    )
+    np.testing.assert_allclose(mass, 1.0 - alpha, rtol=0.0, atol=_MASS_TOL)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_hpd_batch_flagged_newton_rows_fall_back_to_scalar(monkeypatch, alpha):
+    def flag_every_row(self, a, b, alpha):
+        return np.zeros_like(a), np.ones_like(a), np.ones(a.shape, dtype=bool)
+
+    monkeypatch.setattr(NumpyKernel, "newton_interior", flag_every_row)
+    assert_scalar_fallback_rows(alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_hpd_batch_stuck_newton_rows_fall_back_to_scalar(monkeypatch, alpha):
+    # One damped step leaves every row off its mass target, so the
+    # validation sends each one to the scalar solver.
+    monkeypatch.setattr(kernels, "NEWTON_MAX_ITER", 1)
+    assert_scalar_fallback_rows(alpha)

@@ -282,6 +282,11 @@ class TestServiceRequests:
             with pytest.raises(ReproError, match="workers"):
                 submit_request(svc.address, GRID, {"workers": 0})
 
+    def test_kernel_override_is_an_unknown_context_field(self, tmp_path):
+        with running_service(tmp_path) as svc:
+            with pytest.raises(ReproError, match="unknown context field.*kernel"):
+                submit_request(svc.address, GRID, {"kernel": "numpy"})
+
     def test_malformed_lines_keep_the_connection_alive(self, tmp_path):
         with running_service(tmp_path) as svc:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

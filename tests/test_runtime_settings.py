@@ -12,6 +12,7 @@ from repro.exceptions import ValidationError
 from repro.runtime import (
     ParallelExecutor,
     ResultStore,
+    SolveBroker,
     configure,
     default_context,
     default_executor,
@@ -20,6 +21,7 @@ from repro.runtime import (
 from repro.runtime.settings import (
     KNOBS,
     RunContext,
+    context_from_args,
     env_knob,
     resolve_chunk_seconds,
     resolve_chunk_size,
@@ -49,7 +51,6 @@ class TestKnobRegistry:
             "REPRO_CHAOS_SEED",
             "REPRO_CHUNK_SECONDS",
             "REPRO_CHUNK_SIZE",
-            "REPRO_KERNEL",
             "REPRO_MAX_RETRIES",
             "REPRO_ON_ERROR",
             "REPRO_SERVICE",
@@ -230,6 +231,16 @@ class TestWrapperEquivalence:
         assert installed.workers == 3
         assert installed.backend == "serial"
         assert installed.retry_policy.max_retries == 2
+        assert installed.solve_pool is None
+
+        broker = SolveBroker()
+        try:
+            configure(context=RunContext(solve_pool=broker, solve_table=0))
+            installed = default_context()
+            assert installed.solve_pool is broker
+            assert installed.solve_table == 0
+        finally:
+            broker.close()
 
     def test_configure_context_excludes_kwargs(self):
         with pytest.raises(ValidationError, match="mutually exclusive"):
@@ -249,3 +260,32 @@ class TestWrapperEquivalence:
         plan = StudyPlan.__new__(StudyPlan)  # never run; validation first
         with pytest.raises(ValidationError, match="not both"):
             execute(plan, executor=default_executor(), context=RunContext())
+
+
+class TestSharedRuntimeOptions:
+    """Both CLIs declare the runtime flags from one table."""
+
+    ARGV = [
+        "--workers", "2", "--cache-dir", "store", "--chunk-size", "5",
+        "--backend", "serial", "--max-retries", "1", "--on-error",
+        "continue", "--trace", "journal.jsonl", "--solve-table", "64",
+    ]
+
+    def test_both_clis_build_the_same_context(self, tmp_path, monkeypatch):
+        from repro import cli
+        from repro.experiments import __main__ as experiments_cli
+
+        monkeypatch.chdir(tmp_path)
+        repro_args = cli._build_parser().parse_args(
+            ["study", *self.ARGV, "--quiet"]
+        )
+        experiments_args = experiments_cli._build_parser().parse_args(
+            ["table3", *self.ARGV]
+        )
+        via_repro = cli._context_from(repro_args)
+        via_experiments = context_from_args(
+            experiments_args, progress=experiments_args.progress
+        )
+        assert via_repro.describe() == via_experiments.describe()
+        assert via_repro.describe()["workers"] == 2
+        assert via_repro.describe()["solve_table"] == 64
